@@ -6,19 +6,22 @@ online phase consumes:
 
 1. filter knob configurations (hill climbing on max-min sampled
    segments, Appendix A.1);
-2. profile and Pareto-filter task placements on a reference cluster
-   (Appendix A.2; placements are re-profiled per actual cluster at run
-   time, as the runtime depends on the core count);
-3. compute content categories: KMeans over quality vectors of a segment
+2. compute content categories: KMeans over quality vectors of a segment
    sample (Section 3.2) — the profiling runs as a Spark dataflow when a
    SparkSession is provided;
-4. create forecast training data by classifying *all* training segments
+3. create forecast training data by classifying *all* training segments
    with the cheapest configuration (Appendix H) and aggregating
    histograms;
-5. train the forecasting model (Appendix K architecture).
+4. train the forecasting model (Appendix K architecture).
 
-Wall-clock per step is recorded in ``Fitted.timings`` — this reproduces
-Table 3 (offline-phase runtimes).
+Task placements (Appendix A.2) are not profiled here: a placement's
+runtime depends on the core count, so the online phase profiles and
+Pareto-filters them per actual cluster in
+``repro.sim.ingest.build_placement_tables``.
+
+Wall-clock per step is recorded in ``Fitted.timings``; with the
+placement filter timed by ``repro.exp.table3`` this reproduces Table 3
+(offline-phase runtimes).
 """
 from __future__ import annotations
 
@@ -43,8 +46,6 @@ from repro.core.forecast import (
 )
 from repro.core.mlp import MLP
 from repro.core.offline import filter_knob_configs
-from repro.core.placement import pareto_placements
-from repro.sim.cluster import make_cluster
 from repro.video.content import ContentTrace
 from repro.workloads.base import Config, Workload
 
@@ -108,15 +109,7 @@ def fit_skyscraper(
     work = np.array([wl.work_per_vs(c) for c in configs])
     timings["filter_knob_configs"] = time.perf_counter() - t0
 
-    # 2. filter task placements (reference cluster; re-done per cluster
-    #    online since runtimes depend on the core count) ---------------------
-    t0 = time.perf_counter()
-    ref_cluster = make_cluster(8)
-    for cfg in configs:
-        pareto_placements(wl.task_graph(cfg), ref_cluster)
-    timings["filter_task_placements"] = time.perf_counter() - t0
-
-    # 3. content categories ---------------------------------------------------
+    # 2. content categories ---------------------------------------------------
     t0 = time.perf_counter()
     idx = sample_segment_indices(trace, sample_frac=sample_frac, seed=seed)
     if spark is not None:
@@ -148,7 +141,7 @@ def fit_skyscraper(
         else:
             k_label_idx = int(np.argmax(spreads))
 
-    # 4. create forecast training data (classify all training segments
+    # 3. create forecast training data (classify all training segments
     #    with k-, aggregate 15-min histograms) -------------------------------
     t0 = time.perf_counter()
     spec = ForecastSpec(
@@ -179,7 +172,7 @@ def fit_skyscraper(
     x, y = build_training_pairs(train_hists, spec)
     timings["create_forecast_training_data"] = time.perf_counter() - t0
 
-    # 5. train the forecasting model -----------------------------------------
+    # 4. train the forecasting model -----------------------------------------
     t0 = time.perf_counter()
     forecaster = None
     if train_forecast and len(x):

@@ -14,6 +14,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.core.offline import pareto_front
 from repro.sim.cluster import Cluster
 from repro.sim.dagsim import simulate_placement
 from repro.workloads.base import TaskGraph
@@ -27,7 +30,6 @@ class PlacementProfile:
     runtime_s: float  # per segment, at work multiplier 1
     cloud_core_s: float  # per segment, at work multiplier 1
     cloud_usd: float  # per segment, at work multiplier 1
-    up_bytes: float
 
     @property
     def is_onprem_only(self) -> bool:
@@ -62,14 +64,10 @@ def pareto_placements(
                 runtime_s=res.runtime_s,
                 cloud_core_s=res.cloud_core_s,
                 cloud_usd=res.cloud_core_s * cluster.cloud_usd_per_core_s,
-                up_bytes=res.up_bytes,
             )
         )
-    profiles.sort(key=lambda p: (p.cloud_usd, p.runtime_s))
-    frontier: list[PlacementProfile] = []
-    best_runtime = float("inf")
-    for p in profiles:
-        if p.runtime_s < best_runtime - 1e-12:
-            frontier.append(p)
-            best_runtime = p.runtime_s
-    return frontier
+    keep = pareto_front(
+        np.array([p.cloud_usd for p in profiles]),
+        -np.array([p.runtime_s for p in profiles]),
+    )
+    return [profiles[j] for j in keep]

@@ -14,9 +14,16 @@ Every few seconds (every segment in our reproduction) the switcher:
 
 The switcher is pure decision logic — feasibility of a placement
 (buffer headroom, remaining cloud credits) is delegated to a caller
-predicate so the same code runs inside the ingestion simulator and in
-the Structured-Streaming job, and so its sub-millisecond overhead can be
-benchmarked in isolation (Section 5.5).
+predicate so its sub-millisecond overhead can be benchmarked in
+isolation (Section 5.5), and so the same code runs in two places:
+
+* the ingestion simulator (``repro.sim.ingest``) passes the profiled
+  Pareto placements of every configuration and a predicate that checks
+  the buffer (Eq. 1) and the remaining cloud credits;
+* the Structured-Streaming job (``repro.etl.streaming``) has no buffer
+  or cloud model: it passes one all-on-premises placement per
+  configuration and an always-true predicate, so every decision is the
+  Eq. 6 pick without fallback.
 """
 from __future__ import annotations
 

@@ -12,6 +12,12 @@ micro-batches (one parquet file per batch of arriving video), a
 3. runs the Transform UDFs at that configuration and appends the
    detections to the warehouse directory.
 
+Steps 1 and 2 are the ingestion simulator's
+:class:`~repro.core.switcher.KnobSwitcher`.  The job has no buffer or
+cloud model, so each configuration gets one all-on-premises placement
+and every placement is feasible: the switcher always takes its Eq. 6
+pick.
+
 ``maxFilesPerTrigger=1`` forces one micro-batch per arriving file so the
 switching cadence matches the paper's every-few-seconds reactivity.
 """
@@ -25,6 +31,8 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.fit import Fitted
+from repro.core.placement import PlacementProfile
+from repro.core.switcher import KnobSwitcher
 from repro.cv.ops import detect_segments, reported_quality
 from repro.video.stream import segment_schema
 from repro.workloads.base import Workload
@@ -39,39 +47,44 @@ class StreamingSwitcher:
     fitted: Fitted
     alpha: np.ndarray  # (K, C) knob plan for the run
     seed: int = 0
-    k_cur: int = 0
-    counts: np.ndarray = field(default=None)
     last_quality: float | None = None
     history: list = field(default_factory=list)
+    switcher: KnobSwitcher = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.counts is None:
-            self.counts = np.zeros_like(self.alpha)
-        self.k_cur = self.fitted.k_minus_idx
-
-    def classify(self) -> int:
-        if self.last_quality is None:
-            return int(np.argmax(self.alpha.sum(axis=0)))
-        return int(
-            self.fitted.categories.classify_1d(self.k_cur, self.last_quality)[0]
+        # the job runs every configuration on premises; it has no
+        # runtime or cost model, so the profile carries zeros
+        onprem = [
+            [
+                PlacementProfile(
+                    cloud=(False,) * len(self.wl.task_graph(cfg).nodes),
+                    runtime_s=0.0,
+                    cloud_core_s=0.0,
+                    cloud_usd=0.0,
+                )
+            ]
+            for cfg in self.fitted.configs
+        ]
+        self.switcher = KnobSwitcher(
+            self.fitted.categories,
+            self.fitted.quality_rank,
+            onprem,
+            start_config=self.fitted.k_minus_idx,
         )
-
-    def pick(self, c: int) -> int:
-        total = self.counts[:, c].sum()
-        used = self.counts[:, c] / total if total else np.zeros(len(self.counts))
-        k = int(np.argmax(self.alpha[:, c] - used))
-        self.counts[k, c] += 1
-        self.k_cur = k
-        return k
+        self.switcher.set_plan(self.alpha)
 
     def process_batch(self, pdf: pd.DataFrame) -> pd.DataFrame:
-        c = self.classify()
-        k = self.pick(c)
+        if self.last_quality is None:
+            # cold start: no batch has reported a quality yet
+            c = int(np.argmax(self.alpha.sum(axis=0)))
+        else:
+            c = self.switcher.classify(self.last_quality)
+        k, _ = self.switcher.choose(c, lambda k, p: True)
         cfg = self.fitted.configs[k]
         det = detect_segments(self.wl, cfg, pdf, seed=self.seed)
         self.last_quality = reported_quality(self.wl, cfg, pdf, seed=self.seed)
         self.history.append(
-            {"category": c, "config_id": k, "n_segments": len(pdf)}
+            {"category": c, "config_id": int(k), "n_segments": len(pdf)}
         )
         return det
 

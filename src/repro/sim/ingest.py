@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.fit import Fitted
+from repro.core.offline import pareto_front
 from repro.core.planner import make_plan
 from repro.core.switcher import KnobSwitcher
 from repro.core.placement import PlacementProfile, enumerate_placements
@@ -116,15 +117,12 @@ def build_placement_tables(
             res = [
                 simulate_placement(graph, p, cluster, mult=m) for p in all_p
             ]
-            order = sorted(
-                range(len(all_p)),
-                key=lambda j: (res[j].cloud_core_s, res[j].runtime_s),
+            keep.update(
+                pareto_front(
+                    np.array([r.cloud_core_s for r in res]),
+                    -np.array([r.runtime_s for r in res]),
+                )
             )
-            best_rt = float("inf")
-            for j in order:
-                if res[j].runtime_s < best_rt - 1e-12:
-                    keep.add(j)
-                    best_rt = res[j].runtime_s
         kept = sorted(keep)
         runtime = np.empty((len(kept), len(mult_grid)))
         cloud_usd = np.empty_like(runtime)
@@ -145,7 +143,6 @@ def build_placement_tables(
                     cloud_usd[j, 0] / cluster.cloud_usd_per_core_s
                 ),
                 cloud_usd=float(cloud_usd[j, 0]),
-                up_bytes=0.0,
             )
             for j in order
         )
@@ -239,7 +236,6 @@ class Prepared:
     work: np.ndarray  # (K,)
     qual_true: np.ndarray  # (K, n) noiseless
     qual_obs: np.ndarray  # (K, n) reported
-    weights: np.ndarray  # (n,) quality weights (stream count for MOSEI)
     qual_best: np.ndarray  # (n,) ceiling from the most qualitative config
     seg_bytes: np.ndarray  # (n,)
     mult_grid: np.ndarray
@@ -259,8 +255,6 @@ def prepare(
     qual_obs = np.stack(
         [wl.observed_quality_curve(c, trace, seed=seed) for c in configs]
     )
-    # mass is already folded into the quality curves
-    weights = np.ones(trace.n_segments)
     qual_best = wl.quality_curve(wl.best_config(), trace)
     seg_bytes = (
         wl.bitrate_bytes_per_s * wl.seg_len * trace.work_multiplier
@@ -280,7 +274,6 @@ def prepare(
         work=np.array([wl.work_per_vs(c) for c in configs]),
         qual_true=qual_true,
         qual_obs=qual_obs,
-        weights=weights,
         qual_best=qual_best,
         seg_bytes=seg_bytes,
         mult_grid=grid,
@@ -305,8 +298,8 @@ def finalize(
     wl, trace = prep.wl, prep.trace
     n = trace.n_segments
     idx = np.arange(n)
-    q_sum = float((prep.weights * prep.qual_true[chosen_k, idx]).sum())
-    q_best = float((prep.weights * prep.qual_best).sum())
+    q_sum = float(prep.qual_true[chosen_k, idx].sum())
+    q_best = float(prep.qual_best.sum())
     duration_s = n * wl.seg_len
     onprem_usd = cluster.onprem_cost(duration_s)
     work = float(

@@ -1,8 +1,9 @@
 """Tests for the V-ETL Extract/Transform/Load dataflow.
 
 Every relational result is verified against DuckDB through
-``repro.oracle.assert_equivalent``; the provided TPC-H-lite generators
-are used as an additional oracle sanity layer.
+``repro.oracle.assert_equivalent``; an aggregate over the segment table
+and a detections-segments join check the oracle itself on the video
+tables.
 """
 from __future__ import annotations
 
@@ -10,7 +11,6 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro import synth_data
 from repro.cv.ops import detect_segments, objects_present, reported_quality
 from repro.etl.load import (
     busiest_hours,
@@ -38,41 +38,48 @@ def det_df(spark, covid, seg_pdf):
     ).cache()
 
 
-class TestOracleSanityTPCH:
-    """The provided DuckDB oracle itself, on TPC-H-lite inputs."""
+class TestOracleSanityVideo:
+    """The DuckDB oracle itself, on the video tables: an aggregate and
+    a join, beyond the single-table Load queries."""
 
-    def test_lineitem_aggregate(self, spark):
+    def test_segment_aggregate(self, spark, seg_pdf):
         from pyspark.sql import functions as F
 
-        li = synth_data.lineitem(spark, sf=0.001)
-        res = li.groupBy("l_returnflag").agg(
+        seg = spark.createDataFrame(seg_pdf).repartition(4)
+        res = seg.groupBy(
+            F.floor(F.col("t_start") / 600).cast("bigint").alias("slot")
+        ).agg(
             F.count(F.lit(1)).alias("n"),
-            F.round(F.sum("l_quantity"), 6).alias("sum_qty"),
+            F.round(F.avg("crowd"), 6).alias("avg_crowd"),
+            F.round(F.max("motion"), 6).alias("max_motion"),
         )
         assert_equivalent(
             res,
-            "SELECT l_returnflag, count(*) AS n, "
-            "round(sum(l_quantity), 6) AS sum_qty "
-            "FROM li GROUP BY l_returnflag",
-            li=li,
+            "SELECT CAST(floor(t_start/600) AS BIGINT) AS slot, "
+            "count(*) AS n, round(avg(crowd), 6) AS avg_crowd, "
+            "round(max(motion), 6) AS max_motion FROM seg GROUP BY 1",
+            seg=seg,
         )
 
-    def test_join_orders_customer(self, spark):
+    def test_join_detections_segments(self, spark, seg_pdf, det_df):
         from pyspark.sql import functions as F
 
-        o = synth_data.orders(spark, sf=0.001)
-        c = synth_data.customer(spark, sf=0.001)
+        seg = spark.createDataFrame(seg_pdf).repartition(4)
         res = (
-            o.join(c, o.o_custkey == c.c_custkey)
-            .groupBy("c_mktsegment")
-            .agg(F.count(F.lit(1)).alias("n"))
+            det_df.join(seg.select("segment_id", "crowd"), "segment_id")
+            .groupBy("klass")
+            .agg(
+                F.count(F.lit(1)).alias("n"),
+                F.round(F.avg("crowd"), 6).alias("avg_crowd"),
+            )
         )
         assert_equivalent(
             res,
-            "SELECT c_mktsegment, count(*) AS n FROM o "
-            "JOIN c ON o_custkey = c_custkey GROUP BY c_mktsegment",
-            o=o,
-            c=c,
+            "SELECT klass, count(*) AS n, round(avg(crowd), 6) AS avg_crowd "
+            "FROM det JOIN seg ON det.segment_id = seg.segment_id "
+            "GROUP BY klass",
+            det=det_df,
+            seg=seg,
         )
 
 

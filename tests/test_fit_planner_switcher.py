@@ -21,7 +21,6 @@ class TestFitted:
     def test_timings_recorded(self, covid_fit):
         assert set(covid_fit.timings) == {
             "filter_knob_configs",
-            "filter_task_placements",
             "compute_content_categories",
             "create_forecast_training_data",
             "train_forecast_model",
@@ -135,9 +134,9 @@ def make_switcher(n_k=3, n_c=2):
     cats = Categories(centers=np.array(centers), configs=tuple(range(n_k)))
     placements = [
         [PlacementProfile((False,), runtime_s=1.0 * (k + 1), cloud_core_s=0.0,
-                          cloud_usd=0.0, up_bytes=0.0),
+                          cloud_usd=0.0),
          PlacementProfile((True,), runtime_s=0.5 * (k + 1), cloud_core_s=1.0,
-                          cloud_usd=0.01, up_bytes=0.0)]
+                          cloud_usd=0.01)]
         for k in range(n_k)
     ]
     rank = list(range(n_k))[::-1]  # higher index = higher quality

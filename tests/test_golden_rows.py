@@ -1,0 +1,63 @@
+"""Golden ``RunResult`` rows: short COVID and MOSEI-HIGH runs of every
+method must reproduce the committed rows exactly.
+
+The rows pin the decision logic (Eq. 5 / Eq. 6, the App. A.2 placement
+frontier, the buffer check of Eq. 1) across refactors: any change that
+moves a single decision moves a row.  Regenerate the JSON only for a
+change that is meant to move results, and say which rows moved:
+
+    PYTHONPATH=src python tests/test_golden_rows.py
+"""
+from __future__ import annotations
+
+import json
+import math
+import os
+
+import pytest
+
+from repro.exp.runs import run_one
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden_rows.json")
+METHODS = ("skyscraper", "static", "chameleon", "videostorm", "optimum")
+CELLS = [
+    {
+        "workload": workload,
+        "method": method,
+        "vcpus": vcpus,
+        "seed": 0,
+        "train_days": 2.0,
+        "test_days": test_days,
+    }
+    for workload, vcpus, test_days in (("covid", 8, 0.5), ("mosei-high", 16, 0.25))
+    for method in METHODS
+]
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, float) and isinstance(b, float):
+        return a == b or (math.isnan(a) and math.isnan(b))
+    return a == b
+
+
+@pytest.fixture(scope="module")
+def golden() -> list[dict]:
+    with open(GOLDEN) as f:
+        return json.load(f)
+
+
+@pytest.mark.parametrize(
+    "i", range(len(CELLS)), ids=[f"{c['workload']}-{c['method']}" for c in CELLS]
+)
+def test_row_unchanged(golden, i):
+    want = golden[i]
+    got = json.loads(json.dumps(run_one(CELLS[i])))
+    assert set(got) == set(want)
+    diff = {k: (got[k], want[k]) for k in want if not _same(got[k], want[k])}
+    assert not diff
+
+
+if __name__ == "__main__":
+    with open(GOLDEN, "w") as f:
+        json.dump([run_one(c) for c in CELLS], f, indent=1)
+        f.write("\n")

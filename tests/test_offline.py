@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.offline import (
     filter_knob_configs,
@@ -31,6 +33,32 @@ class TestParetoFront:
         cost = np.array([1.0, 1.0])
         qual = np.array([0.5, 0.6])
         assert pareto_front(cost, qual) == [1]
+
+
+# Small integer grids force ties in cost, in quality and in both.
+_points = st.lists(
+    st.tuples(st.integers(0, 6), st.integers(-6, 6)), min_size=1, max_size=25
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_points)
+def test_pareto_front_is_brute_force_frontier(points):
+    """The one frontier scan (knob filter App. A.1; placement filter
+    App. A.2 with quality = -runtime): exactly the non-dominated points,
+    each distinct point once (its first index), sorted by cost."""
+    cost = np.array([float(c) for c, _ in points])
+    qual = np.array([float(q) for _, q in points])
+    distinct = set(points)
+    frontier = [
+        p
+        for p in distinct
+        if not any(
+            o[0] <= p[0] and o[1] >= p[1] and o != p for o in distinct
+        )
+    ]
+    expected = [points.index(p) for p in sorted(frontier)]
+    assert pareto_front(cost, qual) == expected
 
 
 class TestMaxMinSelect:

@@ -64,7 +64,7 @@ class TestPareto:
                 assert not dominated or b.cloud_usd < a.cloud_usd
 
     def test_profiles_are_frozen(self):
-        p = PlacementProfile((False,), 1.0, 0.0, 0.0, 0.0)
+        p = PlacementProfile((False,), 1.0, 0.0, 0.0)
         with pytest.raises(AttributeError):
             p.runtime_s = 2.0
 

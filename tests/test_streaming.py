@@ -36,6 +36,12 @@ class TestStreamingSwitcher:
         assert len(sw.history) == int(np.ceil(len(pdf) / 64))
         used = {h["config_id"] for h in sw.history}
         assert len(used) >= 2  # adapted between configurations
+        # exact decisions, cold-start batch first (argmax of the plan's
+        # category mass)
+        assert [(h["category"], h["config_id"]) for h in sw.history] == [
+            (0, 7), (0, 0), (0, 7), (0, 7), (0, 7), (1, 8), (0, 7),
+            (0, 7), (0, 7), (0, 7), (0, 7), (0, 7), (0, 7), (0, 7),
+        ]
 
     def test_history_records_counts(self, covid, covid_fit, plan_alpha):
         sw = StreamingSwitcher(wl=covid, fitted=covid_fit, alpha=plan_alpha)
@@ -43,7 +49,8 @@ class TestStreamingSwitcher:
         pdf = trace_to_pandas(covid, tr)
         sw.process_batch(pdf)
         assert sw.history[0]["n_segments"] == len(pdf)
-        assert sw.counts.sum() == 1
+        assert sw.switcher.counts.sum() == 1
+        assert sw.switcher.k_cur == sw.history[0]["config_id"]
 
 
 class TestStreamingJob:
