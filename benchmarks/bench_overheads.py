@@ -41,7 +41,7 @@ def test_knob_switcher_decision_under_1ms(benchmark, switcher):
 
     def decide():
         c = switcher.classify(0.57)
-        return switcher.choose(c, lambda k, p: True)
+        return switcher.choose(c, lambda k, j: True)
 
     benchmark(decide)
     assert benchmark.stats.stats.mean < 1e-3
@@ -52,7 +52,7 @@ def test_knob_switcher_worst_case_full_scan(benchmark, switcher):
 
     def decide():
         c = switcher.classify(0.57)
-        return switcher.choose(c, lambda k, p: False)
+        return switcher.choose(c, lambda k, j: False)
 
     benchmark(decide)
     assert benchmark.stats.stats.mean < 5e-3

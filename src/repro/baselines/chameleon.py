@@ -65,18 +65,16 @@ def run_chameleon(
     # per multiplier-grid value: best configuration that still runs in
     # real time — the fallback when the unmanaged buffer fills up
     mean_q = prep.qual_true.mean(axis=1)
-    realtime_best = np.empty(runtimes.shape[1], dtype=int)
-    for g in range(runtimes.shape[1]):
-        ok = np.flatnonzero(runtimes[:, g] <= wl.seg_len)
-        realtime_best[g] = (
-            int(ok[np.argmax(mean_q[ok])]) if len(ok) else cheapest
-        )
+    realtime_best = [
+        int(ok[np.argmax(mean_q[ok])]) if len(ok) else cheapest
+        for ok in (np.flatnonzero(col <= wl.seg_len) for col in runtimes.T)
+    ]
     chosen = np.empty(n, dtype=int)
     k_epoch = cheapest
     profiling_core_s = 0.0
+    rt = runtimes.T.tolist()  # [gi][k]
 
-    for i in range(n):
-        gi = prep.mult_idx[i]
+    for i, gi in enumerate(memoryview(prep.mult_idx)):
         if i % epoch_segments == 0:
             # Profiling pass: run every candidate on the last
             # ``profile_segments`` segments; the work goes through the
@@ -95,12 +93,13 @@ def run_chameleon(
             ok = np.flatnonzero(prof_q >= quality_slack * best_q)
             k_epoch = int(ok[np.argmin(prep.work[ok])])
         k = k_epoch
-        if queue.would_overflow(i, float(runtimes[k, gi])):
+        rt_g = rt[gi]
+        if queue.would_overflow(i, rt_g[k]):
             # unmanaged fallback: drop to the best real-time config
-            k = int(realtime_best[gi])
-            if queue.would_overflow(i, float(runtimes[k, gi])):
+            k = realtime_best[gi]
+            if queue.would_overflow(i, rt_g[k]):
                 k = cheapest
-        queue.step(i, float(runtimes[k, gi]))
+        queue.step(i, rt_g[k])
         chosen[i] = k
 
     res = finalize(

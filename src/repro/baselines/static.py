@@ -77,12 +77,12 @@ def run_static(
     tables = build_placement_tables(
         wl, [config], cluster, prep.mult_grid, enable_cloud=False
     )
-    runtimes = tables[0].runtime[0][prep.mult_idx]  # on-prem only
+    runtimes = tables[0].runtime[0].tolist()  # on-prem, per grid value
     queue = SegmentQueue(
         wl.seg_len, prep.seg_bytes, cluster.buffer_bytes
     )
-    for i in range(trace.n_segments):
-        queue.step(i, float(runtimes[i]))
+    for i, gi in enumerate(memoryview(prep.mult_idx)):
+        queue.step(i, runtimes[gi])
     chosen = np.zeros(trace.n_segments, dtype=int)
     res = finalize(
         prep,

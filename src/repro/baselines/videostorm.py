@@ -47,18 +47,19 @@ def run_videostorm(
     train_q = np.array(
         [float(wl.quality_curve(c, train_trace).mean()) for c in configs]
     )
-    rank = list(np.argsort(-train_q))  # best quality first
+    rank = np.argsort(-train_q).tolist()  # best quality first
     n = trace.n_segments
     queue = SegmentQueue(wl.seg_len, prep.seg_bytes, cluster.buffer_bytes)
     chosen = np.empty(n, dtype=int)
-    for i in range(n):
-        gi = prep.mult_idx[i]
+    rt = runtimes.T.tolist()  # [gi][k]
+    for i, gi in enumerate(memoryview(prep.mult_idx)):
+        rt_g = rt[gi]
         k = rank[-1]
         for cand in rank:
-            if not queue.would_overflow(i, float(runtimes[cand, gi])):
+            if not queue.would_overflow(i, rt_g[cand]):
                 k = cand
                 break
-        queue.step(i, float(runtimes[k, gi]))
+        queue.step(i, rt_g[k])
         chosen[i] = k
     return finalize(
         prep,

@@ -50,6 +50,20 @@ class Categories:
         d = np.abs(self.centers[None, :, k_idx] - q[:, None])
         return d.argmin(axis=1)
 
+    def label_table(self, quality: np.ndarray) -> np.ndarray:
+        """Eq. 5 for every (configuration, segment) pair at once.
+
+        ``quality`` is the (K, n) reported-quality matrix; entry [k, i]
+        of the result is ``classify_1d(k, quality[k, i])``, so an online
+        loop reads a segment's category with one lookup instead of one
+        classification.  Stored in the smallest unsigned integer type
+        that holds a category index.
+        """
+        table = np.empty(quality.shape, dtype=np.min_scalar_type(self.n - 1))
+        for k, q in enumerate(quality):
+            table[k] = self.classify_1d(k, q)
+        return table
+
     def qual_hat(self) -> np.ndarray:
         """(K, C) expected-quality matrix for the planner LP."""
         return self.centers.T

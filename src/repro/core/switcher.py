@@ -14,12 +14,15 @@ Every few seconds (every segment in our reproduction) the switcher:
 
 The switcher is pure decision logic — feasibility of a placement
 (buffer headroom, remaining cloud credits) is delegated to a caller
-predicate so its sub-millisecond overhead can be benchmarked in
-isolation (Section 5.5), and so the same code runs in two places:
+predicate ``feasible(k, j)`` over integer indices (configuration k, its
+j-th placement in cheapest-first order) so its sub-millisecond overhead
+can be benchmarked in isolation (Section 5.5), and so the same code runs
+in two places:
 
 * the ingestion simulator (``repro.sim.ingest``) passes the profiled
-  Pareto placements of every configuration and a predicate that checks
-  the buffer (Eq. 1) and the remaining cloud credits;
+  Pareto placements of every configuration and a predicate that looks
+  placement j's runtime and cost up in its own per-configuration rows
+  and checks the buffer (Eq. 1) and the remaining cloud credits;
 * the Structured-Streaming job (``repro.etl.streaming``) has no buffer
   or cloud model: it passes one all-on-premises placement per
   configuration and an always-true predicate, so every decision is the
@@ -47,13 +50,20 @@ class KnobSwitcher:
         start_config: int = 0,
     ) -> None:
         self.categories = categories
-        self.quality_rank = list(quality_rank)  # best quality first
+        self.quality_rank = [int(k) for k in quality_rank]  # best first
         self.placements = [list(p) for p in placements]
         n_k = categories.n_configs
         n_c = categories.n
         self.alpha = np.full((n_k, n_c), 1.0 / n_k)  # plan (uniform until set)
-        self.counts = np.zeros((n_k, n_c))  # alpha-hat numerators
+        self._alpha_cols = self.alpha.T.tolist()
+        # alpha-hat numerators, updated in place; ``_count_cols[c]`` is a
+        # view of column c (no copy), so ``counts`` is the only state
+        self.counts = np.zeros((n_k, n_c))
+        self._count_cols = [memoryview(self.counts[:, c]) for c in range(n_c)]
         self.k_cur = start_config
+        rank = self.quality_rank
+        self._fallback = {k: rank[pos:] for pos, k in enumerate(rank)}
+        self._placement_idx = [range(len(p)) for p in self.placements]
 
     # -- plan management -----------------------------------------------------
     def set_plan(self, alpha: np.ndarray) -> None:
@@ -61,6 +71,7 @@ class KnobSwitcher:
         if alpha.shape != self.alpha.shape:
             raise ValueError("plan shape mismatch")
         self.alpha = alpha
+        self._alpha_cols = alpha.T.tolist()
         self.counts[:] = 0.0
 
     # -- the three steps of Section 4.2 --------------------------------------
@@ -73,35 +84,41 @@ class KnobSwitcher:
 
     def pick_config(self, category: int) -> int:
         """Steps 2-3a: configuration with the largest planned-minus-actual
-        frequency deficit for this category (Eq. 6)."""
-        total = self.counts[:, category].sum()
-        alpha_hat = (
-            self.counts[:, category] / total
-            if total > 0
-            else np.zeros(len(self.counts))
-        )
-        return int(np.argmax(self.alpha[:, category] - alpha_hat))
+        frequency deficit for this category (Eq. 6); the first one wins
+        a tie.  Reads the plan and the counts only (no side effects)."""
+        alpha = self._alpha_cols[category]
+        used = self._count_cols[category].tolist()
+        total = sum(used)
+        if total == 0:
+            return alpha.index(max(alpha))
+        best, best_gap = 0, alpha[0] - used[0] / total
+        for k in range(1, len(alpha)):
+            gap = alpha[k] - used[k] / total
+            if gap > best_gap:
+                best, best_gap = k, gap
+        return best
 
     def fallback_order(self, k_desired: int) -> list[int]:
-        """k_desired, then successively less qualitative configurations."""
-        pos = self.quality_rank.index(k_desired)
-        order = self.quality_rank[pos:]
-        # Safety net: if even the least qualitative configuration in rank
-        # order fails the caller's feasibility check, there is nothing
-        # cheaper to try — callers force the last entry.
-        return order
+        """k_desired, then successively less qualitative configurations.
+
+        If even the least qualitative configuration in rank order fails
+        the feasibility check, there is nothing cheaper to try:
+        ``choose`` forces the last entry.
+        """
+        return list(self._fallback[k_desired])
 
     def choose(
         self,
         category: int,
-        feasible: Callable[[int, PlacementProfile], bool],
-    ) -> tuple[int, PlacementProfile]:
-        """Step 3: pick (configuration, placement).
+        feasible: Callable[[int, int], bool],
+    ) -> tuple[int, int]:
+        """Step 3: pick (configuration k, placement index j).
 
-        ``feasible(k_idx, placement)`` must return whether using this
-        placement keeps the buffer from overflowing (and any cloud-credit
-        constraint the caller enforces).  Placements are scanned cheapest
-        first; configurations fall back from the desired one to less
+        ``feasible(k, j)`` must return whether running configuration k
+        with its placement ``placements[k][j]`` keeps the buffer from
+        overflowing (and any cloud-credit constraint the caller
+        enforces).  Placements are scanned cheapest first (ascending j);
+        configurations fall back from the desired one to less
         qualitative ones.  If nothing is feasible, the least qualitative
         configuration's fastest placement is returned (the caller's
         provisioning contract guarantees this never overflows in
@@ -109,16 +126,17 @@ class KnobSwitcher:
         otherwise).
         """
         k_desired = self.pick_config(category)
-        for k in self.fallback_order(k_desired):
-            for p in self.placements[k]:  # sorted by ascending cloud cost
-                if feasible(k, p):
+        for k in self._fallback[k_desired]:
+            for j in self._placement_idx[k]:  # ascending cloud cost
+                if feasible(k, j):
                     self._record(k, category)
-                    return k, p
+                    return k, j
         k_last = self.quality_rank[-1]
-        p_last = min(self.placements[k_last], key=lambda p: p.runtime_s)
+        last = self.placements[k_last]
+        j_last = min(range(len(last)), key=lambda j: last[j].runtime_s)
         self._record(k_last, category)
-        return k_last, p_last
+        return k_last, j_last
 
     def _record(self, k: int, category: int) -> None:
-        self.counts[k, category] += 1.0
+        self._count_cols[category][k] += 1.0
         self.k_cur = k

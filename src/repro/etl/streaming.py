@@ -79,7 +79,7 @@ class StreamingSwitcher:
             c = int(np.argmax(self.alpha.sum(axis=0)))
         else:
             c = self.switcher.classify(self.last_quality)
-        k, _ = self.switcher.choose(c, lambda k, p: True)
+        k, _ = self.switcher.choose(c, lambda k, j: True)
         cfg = self.fitted.configs[k]
         det = detect_segments(self.wl, cfg, pdf, seed=self.seed)
         self.last_quality = reported_quality(self.wl, cfg, pdf, seed=self.seed)

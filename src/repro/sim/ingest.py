@@ -15,7 +15,6 @@ back to cheaper configurations instead.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,24 +175,37 @@ class SegmentQueue:
     Segment i is fully captured at (i+1)*seg_len; processing is
     sequential.  The buffered bytes after finishing segment i equal the
     total size of segments captured by then but not yet processed.
+    All per-segment arithmetic is on Python floats: the prefix sums of
+    the segment sizes are read through a memoryview.
     """
 
     def __init__(
         self, seg_len: float, seg_bytes: np.ndarray, buffer_bytes: float
     ) -> None:
-        self.seg_len = seg_len
+        self.seg_len = float(seg_len)
         self.n = len(seg_bytes)
-        self.cum = np.concatenate([[0.0], np.cumsum(seg_bytes)])
-        self.buffer_bytes = buffer_bytes
+        self.cum = memoryview(
+            np.concatenate([[0.0], np.cumsum(seg_bytes)])
+        )
+        self.buffer_bytes = float(buffer_bytes)
         self.ready = 0.0
         self.peak = 0.0
         self.overflowed = False
 
-    def _backlog_bytes(self, i: int, finish: float) -> float:
-        captured = min(self.n, int(math.floor(finish / self.seg_len)))
+    def _finish_backlog(self, i: int, runtime: float) -> tuple[float, float]:
+        """Completion time of segment i and the bytes buffered then."""
+        # segment i starts once it is captured and its predecessor is done
+        finish = (i + 1) * self.seg_len
+        if self.ready > finish:
+            finish = self.ready
+        finish += runtime
+        # finish > 0, so int() truncation is the floor
+        captured = int(finish / self.seg_len)
+        if captured > self.n:
+            captured = self.n
         if captured <= i + 1:
-            return 0.0
-        return self.cum[captured] - self.cum[i + 1]
+            return finish, 0.0
+        return finish, self.cum[captured] - self.cum[i + 1]
 
     def would_overflow(
         self, i: int, runtime: float, headroom: float = 1.0
@@ -203,20 +215,17 @@ class SegmentQueue:
         expensive placements only below a safety fraction of the buffer
         (workload spikes arriving while the buffer is full would violate
         Eq. 1 before the switcher can react)."""
-        start = max((i + 1) * self.seg_len, self.ready)
         return (
-            self._backlog_bytes(i, start + runtime)
-            > headroom * self.buffer_bytes
+            self._finish_backlog(i, runtime)[1] > headroom * self.buffer_bytes
         )
 
     def step(self, i: int, runtime: float) -> float:
         """Process segment i; returns its completion wall-clock time."""
-        start = max((i + 1) * self.seg_len, self.ready)
-        finish = start + runtime
-        backlog = self._backlog_bytes(i, finish)
+        finish, backlog = self._finish_backlog(i, runtime)
         if backlog > self.buffer_bytes + 1e-6:
             self.overflowed = True
-        self.peak = max(self.peak, backlog)
+        if backlog > self.peak:
+            self.peak = backlog
         self.ready = finish
         return finish
 
@@ -339,6 +348,9 @@ def finalize(
 # ---------------------------------------------------------------------------
 
 
+CLASSIFY_MODES = ("standard", "no_typeb", "ground_truth")
+
+
 def run_skyscraper(
     wl: Workload,
     fitted: Fitted,
@@ -366,6 +378,11 @@ def run_skyscraper(
     ``enable_cloud`` / ``enable_buffer`` implement the Section 5.4
     ablations.
     """
+    if classify_mode not in CLASSIFY_MODES:
+        raise ValueError(
+            f"unknown classify_mode {classify_mode!r}; "
+            f"expected one of {CLASSIFY_MODES}"
+        )
     if plan_days is None:
         plan_days = fitted.spec.out_days
     prep = prepare(
@@ -388,6 +405,8 @@ def run_skyscraper(
 
     plan_interval_segments = max(1, int(round(plan_days * 86400.0 / seg_len)))
     bin_segments = max(1, int(round(fitted.spec.bin_s / seg_len)))
+    horizon = int(round(fitted.spec.in_bins * 4))  # bounded label history
+    n_cat = fitted.categories.n
 
     chosen = np.empty(n, dtype=int)
     est_labels = np.empty(n, dtype=int)
@@ -399,13 +418,28 @@ def run_skyscraper(
 
     # rolling label history for online forecasting features
     label_bins: list[np.ndarray] = []
-    cur_bin = np.zeros(fitted.categories.n)
+    cur_bin = [0.0] * n_cat
 
     mult = trace.work_multiplier
-    mult_idx = prep.mult_idx
+    # Eq. 5 for every (configuration, segment): labels[k][i] is the
+    # category segment i's reported quality under configuration k maps to
+    labels = memoryview(fitted.categories.label_table(prep.qual_obs))
+    gt = prep.gt_labels.tolist() if classify_mode == "ground_truth" else None
+    # per-configuration placement rows, indexed [k][gi][j]
+    table_rt = [t.runtime.T.tolist() for t in tables]
+    table_cost = [t.cloud_usd.T.tolist() for t in tables]
+    usd_per_core_s = cluster.cloud_usd_per_core_s
+    would_overflow = queue.would_overflow
     k_cur = fitted.k_minus_idx
 
-    for i in range(n):
+    def feasible(k: int, j: int) -> bool:
+        if table_cost[k][gi][j] > cloud_allow + 1e-12:
+            return False
+        return not would_overflow(
+            i, table_rt[k][gi][j], headroom=buffer_headroom
+        )
+
+    for i, gi in enumerate(memoryview(prep.mult_idx)):
         if i % plan_interval_segments == 0:
             interval_s = min(plan_interval_segments, n - i) * seg_len
             cloud_allow += cloud_budget_usd_per_day * interval_s / 86400.0
@@ -413,9 +447,7 @@ def run_skyscraper(
                 cloud_allow = 0.0
             if ground_truth_forecast and prep.gt_labels is not None:
                 upcoming = prep.gt_labels[i : i + plan_interval_segments]
-                ratios = np.bincount(
-                    upcoming, minlength=fitted.categories.n
-                ).astype(float)
+                ratios = np.bincount(upcoming, minlength=n_cat).astype(float)
                 ratios /= ratios.sum()
             else:
                 ratios = None
@@ -441,49 +473,33 @@ def run_skyscraper(
             switcher.set_plan(plan.alpha)
             plan_spend_breakdown.append(cloud_usd_total)
 
-        # step 1: classify the current content (Eq. 5)
-        if classify_mode == "ground_truth":
-            c = int(prep.gt_labels[i])
+        # step 1: classify the current content (Eq. 5) under the running
+        # configuration; 'standard' sees the previous segment's quality
+        c_nb = labels[k_cur, i]
+        if classify_mode == "standard":
+            c = labels[k_cur, i - 1] if i else c_nb
         elif classify_mode == "no_typeb":
-            c = switcher.classify(float(prep.qual_obs[k_cur, i]))
+            c = c_nb
         else:
-            c = switcher.classify(float(prep.qual_obs[k_cur, max(0, i - 1)]))
+            c = gt[i]
         est_labels[i] = c
-        est_labels_nb[i] = switcher.classify(float(prep.qual_obs[k_cur, i]))
+        est_labels_nb[i] = c_nb
 
-        gi = mult_idx[i]
-        table_rt = [t.runtime[:, gi] for t in tables]
-        table_cost = [t.cloud_usd[:, gi] for t in tables]
-
-        def feasible(k: int, p: PlacementProfile) -> bool:
-            pi = tables[k].profiles.index(p)
-            cost = table_cost[k][pi]
-            if cost > cloud_allow + 1e-12:
-                return False
-            return not queue.would_overflow(
-                i, float(table_rt[k][pi]), headroom=buffer_headroom
-            )
-
-        k, p = switcher.choose(c, feasible)
-        pi = tables[k].profiles.index(p)
-        runtime = float(table_rt[k][pi])
-        cost = float(table_cost[k][pi])
-        queue.step(i, runtime)
+        k_cur, j = switcher.choose(c, feasible)
+        cost = table_cost[k_cur][gi][j]
+        queue.step(i, table_rt[k_cur][gi][j])
         cloud_usd_total += cost
         cloud_allow = max(0.0, cloud_allow - cost)
-        cloud_core_s_total += cost / cluster.cloud_usd_per_core_s
-        chosen[i] = k
-        k_cur = k
+        cloud_core_s_total += cost / usd_per_core_s
+        chosen[i] = k_cur
 
         # bookkeeping for the forecaster's online features
         cur_bin[c] += 1.0
         if (i + 1) % bin_segments == 0:
-            total = cur_bin.sum()
-            label_bins.append(cur_bin / total if total else cur_bin)
-            cur_bin = np.zeros(fitted.categories.n)
-            horizon = int(
-                round(fitted.spec.in_bins * 4)
-            )  # keep a bounded history
+            b = np.array(cur_bin)
+            total = b.sum()
+            label_bins.append(b / total if total else b)
+            cur_bin = [0.0] * n_cat
             if len(label_bins) > horizon:
                 del label_bins[: len(label_bins) - horizon]
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.categories import (
     Categories,
@@ -105,6 +107,52 @@ class TestFitCategories:
         k = int(spreads.argmax())
         agree = (cats.classify_1d(k, q[:, k]) == cats.classify_full(q)).mean()
         assert agree > 0.85
+
+
+@st.composite
+def _centers_and_quality(draw):
+    """Centers on a 1/8 grid and qualities on a 1/16 grid: every midpoint
+    between two centers is a representable quality, so exact ties occur."""
+    n_c = draw(st.integers(1, 6))
+    n_k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 30))
+    centers = draw(
+        st.lists(
+            st.lists(st.integers(0, 16), min_size=n_k, max_size=n_k),
+            min_size=n_c, max_size=n_c,
+        )
+    )
+    quality = draw(
+        st.lists(
+            st.lists(st.integers(-2, 34), min_size=n, max_size=n),
+            min_size=n_k, max_size=n_k,
+        )
+    )
+    return np.array(centers) / 8.0, np.array(quality) / 16.0
+
+
+class TestLabelTable:
+    @settings(max_examples=60, deadline=None)
+    @given(_centers_and_quality())
+    def test_equals_scalar_classify_1d(self, data):
+        centers, quality = data
+        n_c, n_k = centers.shape
+        cats = Categories(centers=centers, configs=tuple(range(n_k)))
+        table = cats.label_table(quality)
+        assert table.shape == quality.shape
+        assert table.dtype.kind == "u"
+        for k in range(n_k):
+            for i, q in enumerate(quality[k]):
+                want = int(cats.classify_1d(k, float(q))[0])
+                # nearest center on dimension k; the first index wins a tie
+                first = min(range(n_c), key=lambda c: abs(centers[c, k] - q))
+                assert table[k, i] == want == first
+
+    def test_midpoint_tie_goes_to_first_center(self):
+        centers = np.array([[0.25, 0.0], [0.75, 0.0]])
+        cats = Categories(centers=centers, configs=(0, 1))
+        table = cats.label_table(np.array([[0.5, 0.74], [0.0, 0.0]]))
+        np.testing.assert_array_equal(table, [[0, 1], [0, 0]])
 
 
 class TestSparkParity:

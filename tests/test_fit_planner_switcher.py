@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.categories import Categories
 from repro.core.placement import PlacementProfile, pareto_placements
@@ -161,7 +163,7 @@ class TestSwitcher:
         sw.set_plan(alpha)
         picks = []
         for _ in range(200):
-            k, _ = sw.choose(0, lambda k, p: True)
+            k, _ = sw.choose(0, lambda k, j: True)
             picks.append(k)
         freq = np.bincount(picks, minlength=3) / 200
         np.testing.assert_allclose(freq, alpha[:, 0], atol=0.02)
@@ -177,25 +179,29 @@ class TestSwitcher:
         sw = make_switcher()
         sw.set_plan(np.array([[0.0, 0], [0.0, 0], [1.0, 1]]))
         # config 2 infeasible entirely -> fall back to config 1
-        k, p = sw.choose(0, lambda k, p: k != 2)
+        k, j = sw.choose(0, lambda k, j: k != 2)
         assert k == 1
 
     def test_cheapest_placement_preferred(self):
         sw = make_switcher()
         sw.set_plan(np.array([[1.0, 1], [0, 0], [0, 0]]))
-        k, p = sw.choose(0, lambda k, p: True)
-        assert p.cloud_usd == 0.0  # on-prem placement scanned first
+        k, j = sw.choose(0, lambda k, j: True)
+        assert sw.placements[k][j].cloud_usd == 0.0  # on-prem scanned first
 
     def test_cloud_placement_when_onprem_infeasible(self):
         sw = make_switcher()
         sw.set_plan(np.array([[1.0, 1], [0, 0], [0, 0]]))
-        k, p = sw.choose(0, lambda k, p: p.cloud_usd > 0)
-        assert k == 0 and p.cloud_usd > 0
+        k, j = sw.choose(0, lambda k, j: sw.placements[k][j].cloud_usd > 0)
+        assert k == 0 and sw.placements[k][j].cloud_usd > 0
 
     def test_total_infeasible_forces_last_rank(self):
         sw = make_switcher()
-        k, p = sw.choose(0, lambda k, p: False)
+        k, j = sw.choose(0, lambda k, j: False)
         assert k == sw.quality_rank[-1]
+        # ... with its fastest placement
+        assert sw.placements[k][j].runtime_s == min(
+            p.runtime_s for p in sw.placements[k]
+        )
 
     def test_fallback_order_starts_at_desired(self):
         sw = make_switcher()
@@ -203,3 +209,71 @@ class TestSwitcher:
         assert order[0] == 1
         # only less-qualitative configs follow
         assert order == [1, 0]
+
+
+@st.composite
+def _switcher_case(draw):
+    """A switcher with random plan, usage counts, quality rank and
+    placements, a category, and a random set of feasible (k, j)."""
+    n_k = draw(st.integers(1, 6))
+    n_c = draw(st.integers(1, 3))
+    n_p = draw(st.lists(st.integers(1, 4), min_size=n_k, max_size=n_k))
+    runtimes = [
+        draw(st.lists(st.integers(1, 5), min_size=p, max_size=p)) for p in n_p
+    ]
+    small = st.integers(0, 4)
+    alpha = draw(st.lists(st.lists(small, min_size=n_c, max_size=n_c),
+                          min_size=n_k, max_size=n_k))
+    counts = draw(st.lists(st.lists(small, min_size=n_c, max_size=n_c),
+                           min_size=n_k, max_size=n_k))
+    rank = draw(st.permutations(range(n_k)))
+    pairs = [(k, j) for k in range(n_k) for j in range(n_p[k])]
+    feasible = draw(st.sets(st.sampled_from(pairs)))
+    category = draw(st.integers(0, n_c - 1))
+    alpha = np.array(alpha, dtype=float) + 1e-3  # no all-zero column
+    return (alpha / alpha.sum(axis=0), np.array(counts, dtype=float),
+            list(rank), runtimes, feasible, category)
+
+
+class TestSwitcherProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(_switcher_case())
+    def test_choose_matches_brute_force_scan(self, case):
+        alpha, counts, rank, runtimes, feasible, c = case
+        n_k, n_c = alpha.shape
+        cats = Categories(centers=np.zeros((n_c, n_k)), configs=tuple(range(n_k)))
+        placements = [
+            [PlacementProfile((False,), runtime_s=float(r), cloud_core_s=0.0,
+                              cloud_usd=0.0) for r in rts]
+            for rts in runtimes
+        ]
+        sw = KnobSwitcher(cats, rank, placements)
+        sw.set_plan(alpha)
+        sw.counts[:] = counts
+
+        # Eq. 6 exactly as the array formula states it
+        total = counts[:, c].sum()
+        alpha_hat = counts[:, c] / total if total > 0 else np.zeros(n_k)
+        k_desired = int(np.argmax(alpha[:, c] - alpha_hat))
+        assert sw.pick_config(c) == k_desired
+        np.testing.assert_array_equal(sw.counts, counts)  # no side effect
+
+        scan = [
+            (k, j)
+            for k in rank[rank.index(k_desired):]
+            for j in range(len(runtimes[k]))
+        ]
+        hits = [kj for kj in scan if kj in feasible]
+        if hits:
+            want = hits[0]
+        else:
+            k_last = rank[-1]
+            want = (k_last, int(np.argmin(runtimes[k_last])))
+
+        got = sw.choose(c, lambda k, j: (k, j) in feasible)
+        assert got == want
+        if hits:
+            assert got in feasible
+        counts[got[0], c] += 1
+        np.testing.assert_array_equal(sw.counts, counts)
+        assert sw.k_cur == got[0]

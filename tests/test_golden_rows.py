@@ -32,6 +32,21 @@ CELLS = [
     for workload, vcpus, test_days in (("covid", 8, 0.5), ("mosei-high", 16, 0.25))
     for method in METHODS
 ]
+# Skyscraper's other online modes (Section 5.4 ablations, Section 5.6
+# classification / forecast baselines) on the same COVID cell.
+MODES = (
+    {"classify_mode": "no_typeb"},
+    {"classify_mode": "ground_truth"},
+    {"ground_truth_forecast": True},
+    {"enable_cloud": False},
+    {"enable_buffer": False},
+)
+CELLS += [{**CELLS[0], **mode} for mode in MODES]
+
+
+def _cell_id(cell: dict) -> str:
+    mode = "-".join(f"{k}={cell[k]}" for k in sorted(cell) if k not in CELLS[0])
+    return "-".join(filter(None, (cell["workload"], cell["method"], mode)))
 
 
 def _same(a, b) -> bool:
@@ -47,7 +62,7 @@ def golden() -> list[dict]:
 
 
 @pytest.mark.parametrize(
-    "i", range(len(CELLS)), ids=[f"{c['workload']}-{c['method']}" for c in CELLS]
+    "i", range(len(CELLS)), ids=[_cell_id(c) for c in CELLS]
 )
 def test_row_unchanged(golden, i):
     want = golden[i]

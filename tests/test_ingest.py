@@ -1,9 +1,14 @@
 """Tests for the online ingestion simulator (Section 4 + Appendix M)."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.categories import Categories
 from repro.sim.ingest import (
     SegmentQueue,
     build_placement_tables,
@@ -60,6 +65,56 @@ class TestSegmentQueue:
         # backlog at the end is zero: ready caught up with arrivals
         assert q.ready <= 201 * 2.0 + 1e-9
         assert q.peak == peak_mid  # peak not exceeded while draining
+
+
+@st.composite
+def _queue_case(draw):
+    n = draw(st.integers(1, 40))
+    seg_len = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    # whole-byte segment sizes: every prefix-sum difference is exact
+    seg_bytes = draw(st.lists(st.integers(0, 1000), min_size=n, max_size=n))
+    buffer_bytes = draw(st.integers(0, 5000))
+    runtimes = draw(
+        st.lists(
+            st.floats(0.0, 4.0 * seg_len, allow_nan=False),
+            min_size=n, max_size=n,
+        )
+    )
+    return seg_len, seg_bytes, float(buffer_bytes), runtimes
+
+
+class TestSegmentQueueProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(_queue_case())
+    def test_matches_eq1_model(self, case):
+        """Backlog >= 0, peak never decreases, the overflow flag is set
+        exactly when some backlog exceeds the buffer, and a step that
+        ``would_overflow`` (headroom 1) clears never sets the flag."""
+        seg_len, seg_bytes, buffer_bytes, runtimes = case
+        n = len(seg_bytes)
+        q = SegmentQueue(seg_len, np.array(seg_bytes, dtype=float), buffer_bytes)
+        ready, peak, overflowed = 0.0, 0.0, False
+        for i, rt in enumerate(runtimes):
+            finish = max((i + 1) * seg_len, ready) + rt
+            captured = min(n, math.floor(finish / seg_len))
+            backlog = float(sum(seg_bytes[i + 1 : captured]))
+            assert backlog >= 0.0
+
+            would = q.would_overflow(i, rt, headroom=1.0)
+            assert would == (backlog > buffer_bytes)
+            was = q.overflowed
+            prev_peak = q.peak
+            assert q.step(i, rt) == finish
+            if not would:
+                assert q.overflowed == was
+            assert q.peak >= prev_peak
+
+            ready = finish
+            peak = max(peak, backlog)
+            overflowed = overflowed or backlog > buffer_bytes + 1e-6
+            assert q.ready == ready
+            assert q.peak == peak
+            assert q.overflowed == overflowed
 
 
 class TestPlacementTables:
@@ -197,6 +252,38 @@ class TestRunSkyscraper:
         # removing the timing mismatch (Type-B errors) must improve
         # classification accuracy (Section 5.6)
         assert r.switch_accuracy_no_typeb >= r.switch_accuracy - 0.02
+
+    def test_unknown_classify_mode_rejected(self, covid, covid_fit, cluster4):
+        test = covid.content(seed=0, n_days=0.01, start_day=2.0)
+        with pytest.raises(ValueError, match="classify_mode"):
+            run_skyscraper(
+                covid, covid_fit, cluster4, test, plan_days=0.01,
+                classify_mode="no-typeb",
+            )
+
+    def test_classify_1d_not_called_per_segment(
+        self, covid, covid_fit, cluster4, monkeypatch
+    ):
+        """Eq. 5 labels come from one table built before the loop: at
+        most one vectorised ``classify_1d`` per configuration (plus one
+        spare), never one or two per segment."""
+        calls = []
+        classify_1d = Categories.classify_1d
+
+        def counting(self, k_idx, quality):
+            calls.append(k_idx)
+            return classify_1d(self, k_idx, quality)
+
+        monkeypatch.setattr(Categories, "classify_1d", counting)
+        test = covid.content(seed=0, n_days=0.05, start_day=2.0)
+        assert test.n_segments > 10 * len(covid_fit.configs)
+        for mode in ("standard", "no_typeb"):
+            calls.clear()
+            run_skyscraper(
+                covid, covid_fit, cluster4, test, plan_days=0.05,
+                classify_mode=mode,
+            )
+            assert len(calls) <= len(covid_fit.configs) + 1
 
     def test_mosei_run_works(self, mosei_high, mosei_fit):
         from repro.sim.cluster import make_cluster
