@@ -27,8 +27,6 @@ def best_static_config(
     wl: Workload,
     cluster: Cluster,
     train_trace: ContentTrace,
-    *,
-    headroom: float = 1.0,
 ) -> Config:
     """Most qualitative configuration sustainable in real time.
 
@@ -44,19 +42,17 @@ def best_static_config(
     peak_mult = float(np.quantile(train_trace.work_multiplier, 0.999))
     feasible = []
     for c in wl.all_configs():
-        if wl.work_per_vs(c) * peak_mult > cluster.n_cores * headroom:
+        if wl.work_per_vs(c) * peak_mult > cluster.n_cores:
             continue  # cheap necessary-condition prefilter
         g = wl.task_graph(c)
         runtime = simulate_placement(
             g, (False,) * len(g.nodes), cluster, mult=peak_mult
         ).runtime_s
-        if runtime <= wl.seg_len * headroom:
+        if runtime <= wl.seg_len:
             feasible.append(c)
     if not feasible:
         return wl.cheapest_config()
-    mean_q = {
-        c: float(wl.quality_curve(c, train_trace).mean()) for c in feasible
-    }
+    mean_q = dict(zip(feasible, wl.mean_quality(feasible, train_trace)))
     return max(feasible, key=lambda c: (mean_q[c], -wl.work_per_vs(c)))
 
 

@@ -44,9 +44,7 @@ def run_videostorm(
     )
     runtimes = np.stack([t.runtime[0] for t in tables])  # (K, G)
     # content-agnostic quality ranking: mean quality on training data
-    train_q = np.array(
-        [float(wl.quality_curve(c, train_trace).mean()) for c in configs]
-    )
+    train_q = wl.mean_quality(configs, train_trace)
     rank = np.argsort(-train_q).tolist()  # best quality first
     n = trace.n_segments
     queue = SegmentQueue(wl.seg_len, prep.seg_bytes, cluster.buffer_bytes)

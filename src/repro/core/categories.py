@@ -92,7 +92,6 @@ def quality_vectors_numpy(
     diff = trace.difficulty[idx]
     gids = trace.global_ids()[idx]
     mult = trace.work_multiplier[idx]
-    sub = trace.take(idx)
     cols = []
     for cfg in configs:
         if noisy:
@@ -100,7 +99,7 @@ def quality_vectors_numpy(
                 wl.observed_quality(cfg, diff, gids, seed=seed, mult=mult)
             )
         else:
-            cols.append(wl.quality_curve(cfg, sub))
+            cols.append(wl.true_quality(cfg, diff, mult=mult))
     return np.column_stack(cols)
 
 
@@ -130,8 +129,6 @@ def quality_vectors_spark(
     )
 
     def eval_configs(batches):
-        from repro.workloads.base import soft_quality as _soft
-
         for b in batches:
             if not len(b):
                 continue
@@ -145,12 +142,7 @@ def quality_vectors_spark(
                         cfg, diff, gids, seed=seed, mult=mult
                     )
                 else:
-                    q = wl.mass(diff, mult) * wl.base_quality(cfg) * _soft(
-                        wl.capability(cfg),
-                        diff,
-                        tau=wl.tau,
-                        floor=wl.quality_floor,
-                    )
+                    q = wl.true_quality(cfg, diff, mult=mult)
                 out.append(
                     pd.DataFrame(
                         {"pos": b["pos"].to_numpy(), "config_id": ci, "qual": q}

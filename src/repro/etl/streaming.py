@@ -104,7 +104,9 @@ def run_streaming_job(
 
     Processes every available batch file (availableNow trigger, one file
     per micro-batch), appending detections parquet to ``out_dir``.
-    Returns the switcher with its per-batch decision history.
+    Returns the switcher with its per-batch decision history.  Raises
+    ``TimeoutError`` (after stopping the query) if the files are not
+    all processed within ``timeout_s``: the output would be partial.
     """
     os.makedirs(out_dir, exist_ok=True)
     switcher = StreamingSwitcher(wl=wl, fitted=fitted, alpha=alpha, seed=seed)
@@ -134,7 +136,9 @@ def run_streaming_job(
         .trigger(availableNow=True)
         .start()
     )
-    query.awaitTermination(timeout_s)
-    if query.isActive:
+    if not query.awaitTermination(timeout_s):
         query.stop()
+        raise TimeoutError(
+            f"streaming job over {in_dir} did not finish in {timeout_s} s"
+        )
     return switcher

@@ -182,21 +182,64 @@ class Workload(abc.ABC):
         d0 = np.atleast_2d(difficulty)[:, 0]
         return 0.15 + 2.6 * d0**1.7
 
-    def accuracy_curve(self, cfg: Config, trace: ContentTrace) -> np.ndarray:
-        """Noiseless per-segment accuracy in [0, 1] (mass-free)."""
-        q = soft_quality(
+    def accuracy(self, cfg: Config, difficulty: np.ndarray) -> np.ndarray:
+        """Noiseless accuracy in [0, 1] (mass-free) of each segment of a
+        (n, D) difficulty array."""
+        return self.base_quality(cfg) * soft_quality(
             self.capability(cfg),
-            trace.difficulty,
+            difficulty,
             tau=self.tau,
             floor=self.quality_floor,
         )
-        return self.base_quality(cfg) * q
+
+    def accuracy_curve(self, cfg: Config, trace: ContentTrace) -> np.ndarray:
+        """Noiseless per-segment accuracy in [0, 1] (mass-free)."""
+        return self.accuracy(cfg, trace.difficulty)
+
+    def true_quality(
+        self,
+        cfg: Config,
+        difficulty: np.ndarray,
+        *,
+        mult: np.ndarray | float = 1.0,
+    ) -> np.ndarray:
+        """Noiseless quality (mass x accuracy) of each segment of a
+        (n, D) difficulty array: the ground-truth counterpart of
+        :meth:`observed_quality`."""
+        return self.mass(difficulty, mult) * self.accuracy(cfg, difficulty)
 
     def quality_curve(self, cfg: Config, trace: ContentTrace) -> np.ndarray:
         """Noiseless per-segment quality (ground truth): mass x accuracy."""
-        return self.mass(
-            trace.difficulty, trace.work_multiplier
-        ) * self.accuracy_curve(cfg, trace)
+        return self.true_quality(
+            cfg, trace.difficulty, mult=trace.work_multiplier
+        )
+
+    def mean_quality(
+        self, configs: list[Config], trace: ContentTrace
+    ) -> np.ndarray:
+        """Mean noiseless quality of each configuration over ``trace``.
+
+        Entry i equals ``float(quality_curve(configs[i], trace).mean())``
+        bit for bit.  ``soft_quality`` depends on a configuration only
+        through its capability vector, and configurations often share
+        one (MOSEI: 18 vectors for 504 configurations), so it runs once
+        per distinct vector.  Groups are processed one at a time, so at
+        most one (n,) soft-quality array is alive at once.
+        """
+        mass = self.mass(trace.difficulty, trace.work_multiplier)
+        groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+        for i, c in enumerate(configs):
+            cap = self.capability(c)
+            groups.setdefault(cap.tobytes(), (cap, []))[1].append(i)
+        out = np.empty(len(configs))
+        for cap, members in groups.values():
+            q = soft_quality(
+                cap, trace.difficulty, tau=self.tau, floor=self.quality_floor
+            )
+            for i in members:
+                out[i] = (mass * (self.base_quality(configs[i]) * q)).mean()
+            del q
+        return out
 
     def noise_key(self, cfg: Config, seed: int) -> int:
         """Stable per-(seed, config) noise key.  zlib.crc32 instead of
@@ -221,12 +264,7 @@ class Workload(abc.ABC):
         noisy), then the mass scales it — the object count itself is
         observable.
         """
-        acc = self.base_quality(cfg) * soft_quality(
-            self.capability(cfg),
-            difficulty,
-            tau=self.tau,
-            floor=self.quality_floor,
-        )
+        acc = self.accuracy(cfg, difficulty)
         noise = hash_normal(self.noise_key(cfg, seed), ids)
         acc = np.clip(acc + self.quality_noise * noise, 0.0, 1.0)
         return self.mass(difficulty, mult) * acc

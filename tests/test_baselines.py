@@ -10,6 +10,7 @@ from repro.baselines.static import best_static_config, run_static
 from repro.baselines.videostorm import run_videostorm
 from repro.sim.cluster import make_cluster
 from repro.sim.ingest import prepare, run_skyscraper
+from repro.workloads import get_workload
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +31,60 @@ def covid_fit_mid(covid):
     )
 
 
+def _reference_best_static_config(wl, cluster, train):
+    """``best_static_config`` as first written: one ``quality_curve``
+    per feasible configuration, then a dict and ``max``."""
+    from repro.sim.dagsim import simulate_placement
+
+    peak_mult = float(np.quantile(train.work_multiplier, 0.999))
+    feasible = []
+    for c in wl.all_configs():
+        if wl.work_per_vs(c) * peak_mult > cluster.n_cores:
+            continue
+        g = wl.task_graph(c)
+        runtime = simulate_placement(
+            g, (False,) * len(g.nodes), cluster, mult=peak_mult
+        ).runtime_s
+        if runtime <= wl.seg_len:
+            feasible.append(c)
+    if not feasible:
+        return wl.cheapest_config()
+    mean_q = {c: float(wl.quality_curve(c, train).mean()) for c in feasible}
+    return max(feasible, key=lambda c: (mean_q[c], -wl.work_per_vs(c)))
+
+
 class TestStatic:
+    @pytest.mark.parametrize("name", ["covid", "mosei-high"])
+    def test_matches_reference_search(self, name):
+        wl = get_workload(name)
+        train = wl.content(seed=0, n_days=0.25)
+        for v in (4, 8, 16, 32, 60):
+            cluster = make_cluster(v)
+            assert best_static_config(
+                wl, cluster, train
+            ) == _reference_best_static_config(wl, cluster, train)
+
+    def test_soft_quality_once_per_capability(self, mosei_high, monkeypatch):
+        """The search shares one soft-quality pass among configurations
+        with the same capability vector (MOSEI: 18 for 504)."""
+        import repro.workloads.base as wbase
+
+        calls = []
+        soft_quality = wbase.soft_quality
+
+        def counting(cap, difficulty, **kw):
+            calls.append(cap.tobytes())
+            return soft_quality(cap, difficulty, **kw)
+
+        monkeypatch.setattr(wbase, "soft_quality", counting)
+        caps = {mosei_high.capability(c).tobytes()
+                for c in mosei_high.all_configs()}
+        assert len(caps) < len(mosei_high.all_configs()) // 10
+        train = mosei_high.content(seed=0, n_days=0.25)
+        best_static_config(mosei_high, make_cluster(60), train)
+        assert 0 < len(calls) <= len(caps)
+        assert len(set(calls)) == len(calls)
+
     def test_feasible_config(self, covid, covid_data):
         train, _ = covid_data
         for v in (4, 60):

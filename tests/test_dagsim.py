@@ -1,8 +1,12 @@
 """Tests for the Appendix M.1 DAG placement simulator."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.cluster import Cluster, make_cluster
 from repro.sim.dagsim import simulate_placement
@@ -156,3 +160,42 @@ class TestWorkloadGraphs:
         r4 = simulate_placement(g, (False,) * len(g.nodes), make_cluster(4))
         r60 = simulate_placement(g, (False,) * len(g.nodes), make_cluster(60))
         assert r60.runtime_s <= r4.runtime_s + 1e-9
+
+
+@st.composite
+def _workload_placement(draw):
+    """A real workload task graph with an allowed placement and a work
+    multiplier.  Monotonicity is a property of these graphs, not of
+    list scheduling on arbitrary DAGs (Graham's anomalies)."""
+    wl = get_workload(draw(st.sampled_from(ALL_WORKLOADS)))
+    g = wl.task_graph(draw(st.sampled_from(wl.all_configs())))
+    cloud = tuple(
+        draw(st.booleans()) and not nd.pin_onprem for nd in g.nodes
+    )
+    mult = draw(st.floats(0.25, 40.0))
+    return g, cloud, mult
+
+
+class TestMonotoneOnWorkloadGraphs:
+    CORES = (4, 8, 16, 32, 60)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_workload_placement())
+    def test_runtime_non_increasing_in_cores(self, case):
+        g, cloud, mult = case
+        rts = [
+            simulate_placement(g, cloud, make_cluster(v), mult=mult).runtime_s
+            for v in self.CORES
+        ]
+        assert all(b <= a for a, b in zip(rts, rts[1:])), rts
+
+    @settings(max_examples=150, deadline=None)
+    @given(_workload_placement(), st.sampled_from(CORES))
+    def test_runtime_non_increasing_in_uplink(self, case, v):
+        g, cloud, mult = case
+        cl = make_cluster(v)
+        fast = dataclasses.replace(cl, uplink_bps=2 * cl.uplink_bps)
+        assert (
+            simulate_placement(g, cloud, fast, mult=mult).runtime_s
+            <= simulate_placement(g, cloud, cl, mult=mult).runtime_s
+        )

@@ -99,3 +99,15 @@ class TestStreamingJob:
             ["segment_id", "object_id"]
         ).reset_index(drop=True)
         pd.testing.assert_frame_equal(got, expected, check_dtype=False)
+
+    def test_timeout_stops_query_and_raises(
+        self, spark, job, covid, covid_fit, plan_alpha, tmp_path
+    ):
+        """Running out of time is an error, not a partial result."""
+        _, in_dir, _ = job
+        with pytest.raises(TimeoutError):
+            run_streaming_job(
+                spark, covid, covid_fit, plan_alpha, in_dir,
+                str(tmp_path / "out"), seed=0, timeout_s=0.01,
+            )
+        assert not spark.streams.active

@@ -135,6 +135,16 @@ class TestQualityModel:
             * wl.accuracy_curve(cfg, tr),
         )
 
+    def test_mean_quality_equals_per_config_mean(self, wl):
+        """One soft-quality pass per capability vector, yet every entry
+        is the per-configuration mean of ``quality_curve`` bit for bit."""
+        tr = wl.content(seed=0, n_days=0.05)
+        cfgs = wl.all_configs()
+        np.testing.assert_array_equal(
+            wl.mean_quality(cfgs, tr),
+            [float(wl.quality_curve(c, tr).mean()) for c in cfgs],
+        )
+
     def test_observed_quality_noise_determinism(self, wl):
         tr = wl.content(seed=0, n_days=0.02)
         cfg = wl.best_config()
