@@ -25,6 +25,7 @@ import numpy as np
 from repro.core.offline import filter_knob_configs
 from repro.sim.cluster import Cluster
 from repro.sim.ingest import (
+    Prepared,
     RunResult,
     SegmentQueue,
     build_placement_tables,
@@ -47,11 +48,18 @@ def run_chameleon(
     profile_segments: int = 1,
     quality_slack: float = 0.92,
     method: str = "chameleon",
+    prep: Prepared | None = None,
 ) -> RunResult:
-    """Simulate Chameleon* ingestion."""
+    """Simulate Chameleon* ingestion.
+
+    ``configs`` defaults to the filtered configurations of
+    ``train_trace``; ``prep`` is ``prepare(wl, configs, trace,
+    seed=seed)`` when the caller already has it.
+    """
     if configs is None:
         configs = filter_knob_configs(wl, train_trace, seed=seed)
-    prep = prepare(wl, configs, trace, seed=seed)
+    if prep is None:
+        prep = prepare(wl, configs, trace, seed=seed)
     tables = build_placement_tables(
         wl, configs, cluster, prep.mult_grid, enable_cloud=False
     )

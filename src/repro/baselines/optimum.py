@@ -64,10 +64,14 @@ def run_optimum(
     budget_core_s: float | None = None,
     seed: int = 0,
     method: str = "optimum",
+    prep: Prepared | None = None,
 ) -> RunResult:
     """Ground-truth-optimal knob choices under the cluster's compute
-    budget (on-premise core-seconds over the stream duration)."""
-    prep = prepare(wl, configs, trace, seed=seed)
+    budget (on-premise core-seconds over the stream duration).  ``prep``
+    is ``prepare(wl, configs, trace, seed=seed)`` when the caller
+    already has it."""
+    if prep is None:
+        prep = prepare(wl, configs, trace, seed=seed)
     if budget_core_s is None:
         budget_core_s = cluster.n_cores * trace.n_segments * wl.seg_len
     chosen = optimum_choices(prep, budget_core_s)

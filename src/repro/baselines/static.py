@@ -8,11 +8,12 @@ adaptation to fall back on).  This is the baseline Skyscraper is up to
 """
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from repro.sim.cluster import Cluster
 from repro.sim.ingest import (
-    Prepared,
     RunResult,
     SegmentQueue,
     build_placement_tables,
@@ -27,6 +28,7 @@ def best_static_config(
     wl: Workload,
     cluster: Cluster,
     train_trace: ContentTrace,
+    mean_quality: Callable[[list[Config]], np.ndarray] | None = None,
 ) -> Config:
     """Most qualitative configuration sustainable in real time.
 
@@ -35,7 +37,9 @@ def best_static_config(
     segment length (a static system must survive peaks; stage
     serialization in the DAG makes the true runtime exceed
     work / cores).  Falls back to the cheapest configuration if nothing
-    fits.
+    fits.  Configurations are ranked by ``mean_quality(configs)``, their
+    mean quality on the training trace; it defaults to
+    ``Workload.mean_quality`` on ``train_trace``.
     """
     from repro.sim.dagsim import simulate_placement
 
@@ -52,7 +56,12 @@ def best_static_config(
             feasible.append(c)
     if not feasible:
         return wl.cheapest_config()
-    mean_q = dict(zip(feasible, wl.mean_quality(feasible, train_trace)))
+    means = (
+        wl.mean_quality(feasible, train_trace)
+        if mean_quality is None
+        else mean_quality(feasible)
+    )
+    mean_q = dict(zip(feasible, means))
     return max(feasible, key=lambda c: (mean_q[c], -wl.work_per_vs(c)))
 
 
@@ -65,10 +74,11 @@ def run_static(
     seed: int = 0,
     config: Config | None = None,
     method: str = "static",
+    mean_quality: Callable[[list[Config]], np.ndarray] | None = None,
 ) -> RunResult:
     """Simulate static ingestion with one configuration."""
     if config is None:
-        config = best_static_config(wl, cluster, train_trace)
+        config = best_static_config(wl, cluster, train_trace, mean_quality)
     prep = prepare(wl, [config], trace, seed=seed)
     tables = build_placement_tables(
         wl, [config], cluster, prep.mult_grid, enable_cloud=False

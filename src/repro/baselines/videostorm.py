@@ -10,11 +10,14 @@ buffer is exhausted (MOSEI-HIGH's lucky first peak).
 """
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from repro.core.offline import filter_knob_configs
 from repro.sim.cluster import Cluster
 from repro.sim.ingest import (
+    Prepared,
     RunResult,
     SegmentQueue,
     build_placement_tables,
@@ -34,17 +37,31 @@ def run_videostorm(
     seed: int = 0,
     configs: list[Config] | None = None,
     method: str = "videostorm",
+    prep: Prepared | None = None,
+    mean_quality: Callable[[list[Config]], np.ndarray] | None = None,
 ) -> RunResult:
-    """Content-agnostic greedy quality maximization under the buffer."""
+    """Content-agnostic greedy quality maximization under the buffer.
+
+    ``configs`` defaults to the filtered configurations of
+    ``train_trace``; ``prep`` is ``prepare(wl, configs, trace,
+    seed=seed)`` when the caller already has it.  Configurations are
+    ranked by ``mean_quality(configs)``, their mean quality on the
+    training trace; it defaults to ``Workload.mean_quality`` on
+    ``train_trace``.
+    """
     if configs is None:
         configs = filter_knob_configs(wl, train_trace, seed=seed)
-    prep = prepare(wl, configs, trace, seed=seed)
+    if prep is None:
+        prep = prepare(wl, configs, trace, seed=seed)
     tables = build_placement_tables(
         wl, configs, cluster, prep.mult_grid, enable_cloud=False
     )
     runtimes = np.stack([t.runtime[0] for t in tables])  # (K, G)
     # content-agnostic quality ranking: mean quality on training data
-    train_q = wl.mean_quality(configs, train_trace)
+    if mean_quality is None:
+        train_q = wl.mean_quality(configs, train_trace)
+    else:
+        train_q = mean_quality(configs)
     rank = np.argsort(-train_q).tolist()  # best quality first
     n = trace.n_segments
     queue = SegmentQueue(wl.seg_len, prep.seg_bytes, cluster.buffer_bytes)

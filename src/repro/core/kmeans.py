@@ -85,7 +85,20 @@ def kmeans(
     return best
 
 
+# Rows per block in ``assign``: bounds its (rows, k, d) temporaries.
+ASSIGN_BLOCK = 8192
+
+
 def assign(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Nearest-center labels for rows of ``x`` (full-vector classification)."""
-    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
+    """Nearest-center labels for rows of ``x`` (full-vector classification).
+
+    Rows are processed ``ASSIGN_BLOCK`` at a time, so the (rows, k, d)
+    distance temporaries stay small however many rows there are; each
+    row's distances are reduced exactly as in one pass over all rows.
+    """
+    labels = np.empty(len(x), dtype=np.intp)
+    for lo in range(0, len(x), ASSIGN_BLOCK):
+        xb = x[lo : lo + ASSIGN_BLOCK]
+        d2 = ((xb[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels[lo : lo + ASSIGN_BLOCK] = d2.argmin(axis=1)
+    return labels

@@ -15,9 +15,12 @@ from pyspark.sql import SparkSession
 
 
 def run_grid_local(grid: list[dict]) -> pd.DataFrame:
-    from repro.exp.runs import run_one
+    """Run the cells in order in this process; consecutive cells of one
+    Table 2 column share its inputs (``runs.shared_columns``)."""
+    from repro.exp import runs
 
-    return pd.DataFrame([run_one(g) for g in grid])
+    with runs.shared_columns():
+        return pd.DataFrame([runs.run_one(g) for g in grid])
 
 
 def run_grid_spark(spark: SparkSession, grid: list[dict]) -> pd.DataFrame:

@@ -15,7 +15,7 @@ back to cheaper configurations instead.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -237,7 +237,10 @@ class SegmentQueue:
 
 @dataclass
 class Prepared:
-    """Per-run precomputation shared by Skyscraper and the baselines."""
+    """Per-run precomputation shared by Skyscraper and the baselines.
+
+    Its arrays are read-only: one ``Prepared`` may serve several runs.
+    """
 
     wl: Workload
     trace: ContentTrace
@@ -251,6 +254,13 @@ class Prepared:
     mult_idx: np.ndarray  # (n,) index into mult_grid
     gt_labels: np.ndarray | None = None  # (n,) ground-truth categories
 
+    def with_ground_truth(self, categories) -> "Prepared":
+        """A copy that also holds each segment's ground-truth category:
+        the full-vector classification of its noiseless qualities."""
+        gt = categories.classify_full(self.qual_true.T)
+        gt.flags.writeable = False
+        return replace(self, gt_labels=gt)
+
 
 def prepare(
     wl: Workload,
@@ -258,8 +268,10 @@ def prepare(
     trace: ContentTrace,
     *,
     seed: int,
-    categories=None,
 ) -> Prepared:
+    """Quality matrices, segment sizes and the multiplier grid of
+    ``configs`` on ``trace`` (ground-truth labels, which depend on fitted
+    categories, come from :meth:`Prepared.with_ground_truth`)."""
     qual_true = np.stack([wl.quality_curve(c, trace) for c in configs])
     qual_obs = np.stack(
         [wl.observed_quality_curve(c, trace, seed=seed) for c in configs]
@@ -273,21 +285,20 @@ def prepare(
         )
     )
     grid, idx = multiplier_grid(trace)
-    gt = None
-    if categories is not None:
-        gt = categories.classify_full(qual_true.T)
+    work = np.array([wl.work_per_vs(c) for c in configs])
+    for a in (work, qual_true, qual_obs, qual_best, seg_bytes, grid, idx):
+        a.flags.writeable = False
     return Prepared(
         wl=wl,
         trace=trace,
         configs=configs,
-        work=np.array([wl.work_per_vs(c) for c in configs]),
+        work=work,
         qual_true=qual_true,
         qual_obs=qual_obs,
         qual_best=qual_best,
         seg_bytes=seg_bytes,
         mult_grid=grid,
         mult_idx=idx,
-        gt_labels=gt,
     )
 
 
@@ -366,6 +377,7 @@ def run_skyscraper(
     ground_truth_forecast: bool = False,
     buffer_headroom: float = 0.9,
     method: str = "skyscraper",
+    prep: Prepared | None = None,
 ) -> RunResult:
     """Simulate Skyscraper's online phase over ``trace``.
 
@@ -376,7 +388,9 @@ def run_skyscraper(
     with the realized category distribution of the upcoming interval
     (Section 5.6, Figure 14's "ground truth" baseline).
     ``enable_cloud`` / ``enable_buffer`` implement the Section 5.4
-    ablations.
+    ablations.  ``prep`` is ``prepare(wl, fitted.configs, trace,
+    seed=seed)`` when the caller already has it; the ground-truth labels,
+    which depend on the fitted categories, are added here.
     """
     if classify_mode not in CLASSIFY_MODES:
         raise ValueError(
@@ -385,9 +399,9 @@ def run_skyscraper(
         )
     if plan_days is None:
         plan_days = fitted.spec.out_days
-    prep = prepare(
-        wl, fitted.configs, trace, seed=seed, categories=fitted.categories
-    )
+    if prep is None:
+        prep = prepare(wl, fitted.configs, trace, seed=seed)
+    prep = prep.with_ground_truth(fitted.categories)
     tables = build_placement_tables(
         wl, fitted.configs, cluster, prep.mult_grid, enable_cloud=enable_cloud
     )

@@ -110,10 +110,30 @@ def soft_quality(
     are "prone to mistakes on difficult inputs" — while ``floor`` keeps
     a failing dimension from zeroing quality entirely (a detector that
     cannot handle occlusions still detects the unoccluded people).
+
+    Evaluated one difficulty column at a time in an (n,) buffer, with
+    the same IEEE operations as the (n, D) formula
+    ``(floor + (1 - floor) / (1 + exp(-clip((cap - d) / tau)))).prod(1)``
+    (a running product is the reduction order of ``prod``), so results
+    are identical without (n, D) temporaries.
     """
-    z = (cap[None, :] - difficulty) / tau
-    s = 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
-    return (floor + (1.0 - floor) * s).prod(axis=1)
+    out = None
+    buf = np.empty(len(difficulty))
+    for d in range(len(cap)):
+        np.subtract(cap[d], difficulty[:, d], out=buf)
+        buf /= tau
+        np.clip(buf, -60.0, 60.0, out=buf)
+        np.negative(buf, out=buf)
+        np.exp(buf, out=buf)
+        buf += 1.0
+        np.divide(1.0, buf, out=buf)
+        buf *= 1.0 - floor
+        buf += floor
+        if out is None:
+            out = buf.copy()
+        else:
+            out *= buf
+    return out
 
 
 class Workload(abc.ABC):

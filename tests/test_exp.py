@@ -15,6 +15,7 @@ from repro.exp.runs import run_one
 from repro.exp.sweep import run_grid_local, run_grid_spark
 from repro.exp.table2 import build_grid, format_table2, run_table2
 from repro.exp.table5 import run_table5, run_table6
+from repro.workloads import get_workload
 
 TINY = {"train_days": 1.0, "test_days": 0.25}
 
@@ -53,6 +54,29 @@ class TestSweep:
         df = run_grid_local(grid)
         assert len(df) == 2
         assert set(df.vcpus) == {4, 8}
+
+    def test_static_cells_share_soft_quality(self, monkeypatch):
+        """The Static cells of one column rank configurations by shared
+        mean train qualities: over the whole grid ``soft_quality`` runs
+        on the train trace at most once per capability vector."""
+        import repro.workloads.base as wbase
+
+        wl = get_workload("mosei-high")
+        n_train = wl.content(seed=0, n_days=TINY["train_days"]).n_segments
+        calls = []
+        soft_quality = wbase.soft_quality
+
+        def counting(cap, difficulty, **kw):
+            if len(difficulty) == n_train:
+                calls.append(cap.tobytes())
+            return soft_quality(cap, difficulty, **kw)
+
+        monkeypatch.setattr(wbase, "soft_quality", counting)
+        run_grid_local([
+            {"workload": "mosei-high", "method": "static", "vcpus": v, **TINY}
+            for v in (4, 8, 16, 32, 60)
+        ])
+        assert calls and len(set(calls)) == len(calls)
 
     def test_spark_matches_local(self, spark):
         grid = [

@@ -72,6 +72,68 @@ def test_row_unchanged(golden, i):
     assert not diff
 
 
+def test_rows_through_run_grid(golden, monkeypatch):
+    """``run_grid`` runs the cells of each column (here COVID and
+    MOSEI-HIGH) on one shared set of inputs; every row still equals its
+    golden row, in grid order.  Each column generates its train and test
+    traces once, the shared arrays are read-only, and nothing is kept
+    for the next call."""
+    import collections
+
+    import repro.exp.runs as runs
+    import repro.workloads.base as wbase
+    from repro.exp.sweep import run_grid
+
+    generated = []
+    content = wbase.Workload.content
+
+    def counting_content(self, **kw):
+        generated.append((self.name, "test" if kw.get("start_day") else "train"))
+        return content(self, **kw)
+
+    monkeypatch.setattr(wbase.Workload, "content", counting_content)
+    preps = []
+    for name in ("run_skyscraper", "run_chameleon", "run_videostorm",
+                 "run_optimum"):
+        def spy(*args, _run=getattr(runs, name), **kw):
+            preps.append(kw["prep"])
+            return _run(*args, **kw)
+
+        monkeypatch.setattr(runs, name, spy)
+    runs.cached_fit.cache_clear()  # the fit must reuse the column's trace
+
+    df = run_grid(CELLS, None)
+    # The COVID mode cells follow the MOSEI-HIGH column, which replaced
+    # the COVID column; with the fit cached they need only the test trace.
+    assert generated == [
+        ("covid", "test"), ("covid", "train"),
+        ("mosei-high", "test"), ("mosei-high", "train"),
+        ("covid", "test"),
+    ]
+    assert len(df) == len(golden)
+    for got, want in zip(json.loads(json.dumps(df.to_dict("records"))), golden):
+        # the frame has a column for every key any row has; NaN elsewhere
+        extra = set(got) - set(want)
+        assert all(isinstance(got[k], float) and math.isnan(got[k])
+                   for k in extra)
+        assert not {k: (got[k], want[k]) for k in want
+                    if not _same(got[k], want[k])}
+
+    # one prepare per column: the cells on one test trace share arrays
+    shared = collections.defaultdict(set)
+    for prep in preps:
+        shared[id(prep.trace)].add(id(prep.qual_true))
+    assert sorted(map(len, shared.values())) == [1, 1, 1]
+    for a in (preps[0].qual_true, preps[0].qual_obs,
+              preps[0].trace.difficulty, preps[0].trace.work_multiplier):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+    generated.clear()
+    run_grid([CELLS[METHODS.index("static")]], None)
+    assert generated == [("covid", "test"), ("covid", "train")]
+
+
 if __name__ == "__main__":
     with open(GOLDEN, "w") as f:
         json.dump([run_one(c) for c in CELLS], f, indent=1)

@@ -152,8 +152,8 @@ class TestPlacementTables:
 class TestPrepare:
     def test_shapes(self, covid, covid_fit):
         tr = covid.content(seed=0, n_days=0.02)
-        prep = prepare(covid, covid_fit.configs, tr, seed=0,
-                       categories=covid_fit.categories)
+        prep = prepare(covid, covid_fit.configs, tr, seed=0)
+        prep = prep.with_ground_truth(covid_fit.categories)
         k, n = len(covid_fit.configs), tr.n_segments
         assert prep.qual_true.shape == (k, n)
         assert prep.qual_obs.shape == (k, n)

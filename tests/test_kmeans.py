@@ -73,6 +73,19 @@ class TestKMeans:
         res = kmeans(x, 3, seed=0)
         np.testing.assert_array_equal(assign(x, res.centers), res.labels)
 
+    def test_assign_blocks_match_one_shot(self):
+        """Chunked ``assign`` equals one (n, k, d) pass, exact ties on
+        both sides of a block boundary included (lowest index wins)."""
+        from repro.core.kmeans import ASSIGN_BLOCK
+
+        centers = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+        x = np.random.default_rng(0).normal(size=(2 * ASSIGN_BLOCK + 5, 2))
+        tie = slice(ASSIGN_BLOCK - 3, ASSIGN_BLOCK + 3)
+        x[tie] = [1.0, 0.5]  # 1.25 from centers 0 and 1
+        want = ((x[:, None, :] - centers[None]) ** 2).sum(axis=2).argmin(1)
+        np.testing.assert_array_equal(assign(x, centers), want)
+        assert (want[tie] == 0).all()
+
     def test_result_type(self):
         x, _, _ = blobs(seed=7)
         assert isinstance(kmeans(x, 2, seed=0), KMeansResult)

@@ -96,6 +96,13 @@ class TestCostModel:
         )
 
 
+def _reference_soft_quality(cap, difficulty, *, tau=0.09, floor=0.35):
+    """``soft_quality`` as first written, over (n, D) temporaries."""
+    z = (cap[None, :] - difficulty) / tau
+    s = 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
+    return (floor + (1.0 - floor) * s).prod(axis=1)
+
+
 class TestQualityModel:
     def test_capability_bounds(self, wl):
         for cfg in wl.all_configs():
@@ -134,6 +141,24 @@ class TestQualityModel:
             wl.mass(tr.difficulty, tr.work_multiplier)
             * wl.accuracy_curve(cfg, tr),
         )
+
+    def test_soft_quality_equals_reference(self, wl):
+        """Column by column in place, yet bit-identical to the (n, D)
+        formula on every distinct capability, clipped tails included."""
+        diff = np.vstack([
+            wl.content(seed=0, n_days=0.05).difficulty,
+            np.full((1, len(wl.dims)), -10.0),  # z clipped at +60
+            np.full((1, len(wl.dims)), 10.0),  # z clipped at -60
+        ])
+        caps = {wl.capability(c).tobytes(): wl.capability(c)
+                for c in wl.all_configs()}
+        for cap in caps.values():
+            np.testing.assert_array_equal(
+                soft_quality(cap, diff, tau=wl.tau, floor=wl.quality_floor),
+                _reference_soft_quality(
+                    cap, diff, tau=wl.tau, floor=wl.quality_floor
+                ),
+            )
 
     def test_mean_quality_equals_per_config_mean(self, wl):
         """One soft-quality pass per capability vector, yet every entry
